@@ -184,18 +184,3 @@ func TestHierarchicalSendRecv(t *testing.T) {
 		t.Error("cross-node P2P must be slower than intra-node")
 	}
 }
-
-// The tree variant also decomposes per tier and must stay ahead of ring
-// for latency-bound payloads on a multi-node fabric.
-func TestHierarchicalTreeSmallPayload(t *testing.T) {
-	f := multinode(8, 4, 50)
-	small := Desc{Op: AllReduce, Bytes: 4 << 10, N: 32}
-	if BestAlgo(small, f) != Tree {
-		t.Errorf("small all-reduce over 32 ranks should pick tree (ring %g vs tree %g)",
-			TimeWith(small, f, Ring), TimeWith(small, f, Tree))
-	}
-	big := Desc{Op: AllReduce, Bytes: 1 << 30, N: 32}
-	if TimeWith(big, f, Auto) > TimeWith(big, f, Ring) {
-		t.Error("auto must never lose to ring")
-	}
-}

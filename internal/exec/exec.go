@@ -62,10 +62,6 @@ type Plan struct {
 	// NoCollapse disables the symmetry fast path even when detection
 	// would prove it (differential tests, reference benchmarks).
 	NoCollapse bool
-	// Parallel controls pooled epoch execution: 0 sizes a worker pool
-	// automatically from the live task count, 1 forces serial execution,
-	// n > 1 forces an n-worker pool.
-	Parallel int
 
 	ran        bool
 	classes    []sim.Class
@@ -85,15 +81,13 @@ func (p *Plan) Run() error {
 // detects structurally identical devices, simulates one representative
 // per class, and reconstructs the ghost ranks' timelines and telemetry
 // afterwards — bit-identical to the full simulation, O(classes) instead
-// of O(ranks). Wide plans additionally execute their per-epoch scans on
-// a worker pool (see Parallel). Collapse requires a deterministic rate
-// model; jittered clusters always run in full.
+// of O(ranks). Collapse requires a deterministic rate model; jittered
+// clusters always run in full.
 func (p *Plan) RunContext(ctx context.Context) error {
 	if p.ran {
 		return fmt.Errorf("exec: plan already ran")
 	}
 	p.ran = true
-	live := len(p.Engine.Tasks())
 	collapsible := !p.NoCollapse && p.Symmetry != SymmetryNone &&
 		(p.Cluster == nil || p.Cluster.Deterministic())
 	if collapsible {
@@ -101,24 +95,10 @@ func (p *Plan) RunContext(ctx context.Context) error {
 		if ghosts := p.Engine.Collapse(classes); ghosts > 0 {
 			p.classes = classes
 			p.ghostTasks = ghosts
-			live -= ghosts
 			if p.Cluster != nil {
 				p.Cluster.SetAliases(aliasVector(p.Cluster.N(), classes))
 			}
 		}
-	}
-	if pool := p.newPool(live); pool != nil {
-		p.Engine.SetPool(pool)
-		if p.Cluster != nil {
-			p.Cluster.SetPool(pool)
-		}
-		defer func() {
-			p.Engine.SetPool(nil)
-			if p.Cluster != nil {
-				p.Cluster.SetPool(nil)
-			}
-			pool.Close()
-		}()
 	}
 	err := p.Engine.RunContext(ctx)
 	if err == nil && p.ghostTasks > 0 && p.Cluster != nil {

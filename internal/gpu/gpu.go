@@ -81,10 +81,6 @@ type Cluster struct {
 	// are actually simulated. Both nil for a full simulation.
 	alias  []int
 	active []int
-
-	// pool, when set, splits the per-device rate and power loops across
-	// workers (deterministic configurations only).
-	pool *sim.Pool
 }
 
 var (
@@ -348,49 +344,16 @@ func (c *Cluster) FinalizeAliases() {
 }
 
 // Deterministic reports whether the rate model is free of run-to-run
-// jitter — the precondition for collapsing symmetry classes and for
-// pooled device loops.
+// jitter — the precondition for collapsing symmetry classes.
 func (c *Cluster) Deterministic() bool { return c.cfg.JitterSigma <= 0 }
 
-// SetPool attaches a worker pool for the per-device rate and power
-// loops. Ignored when jitter is enabled: the jitter cache and its
-// generator are shared across devices and must stay single-threaded.
-func (c *Cluster) SetPool(p *sim.Pool) {
-	if !c.Deterministic() {
-		return
-	}
-	c.pool = p
-}
-
-// poolMinDevices is the simulated-device count below which the
-// per-device loops stay serial.
-const poolMinDevices = 64
-
-// eachDevice runs fn once per simulated device. Devices are independent
-// within an epoch (each owns its freq slot, sampler and task rates), so
-// wide loops split across the pool; order does not matter because no
-// cross-device state is written.
+// eachDevice runs fn once per simulated device: the class
+// representatives of a collapsed run, every device otherwise.
 func (c *Cluster) eachDevice(fn func(dev int)) {
 	if c.active != nil {
-		if c.pool != nil && len(c.active) >= poolMinDevices {
-			c.pool.RunRange(len(c.active), func(_, lo, hi int) {
-				for _, dev := range c.active[lo:hi] {
-					fn(dev)
-				}
-			})
-			return
-		}
 		for _, dev := range c.active {
 			fn(dev)
 		}
-		return
-	}
-	if c.pool != nil && c.n >= poolMinDevices {
-		c.pool.RunRange(c.n, func(_, lo, hi int) {
-			for dev := lo; dev < hi; dev++ {
-				fn(dev)
-			}
-		})
 		return
 	}
 	for dev := 0; dev < c.n; dev++ {

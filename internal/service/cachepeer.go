@@ -1,8 +1,8 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 
 	"overlapsim/internal/core"
@@ -45,8 +45,12 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid fingerprint %q", fp)
 		return
 	}
+	raw, ok := readBody(w, r, "cache entry")
+	if !ok {
+		return
+	}
 	var res core.Result
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxSubmitBytes)).Decode(&res); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(raw)).Decode(&res); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding cache entry: %v", err)
 		return
 	}

@@ -38,9 +38,8 @@ type calibrateBody struct {
 // client, keeping the server's catalog untouched by other tenants'
 // calibrations.
 func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
-	raw, err := readBody(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading profile: %v", err)
+	raw, ok := readBody(w, r, "profile")
+	if !ok {
 		return
 	}
 	p, err := calib.Parse(bytes.NewReader(raw))

@@ -37,6 +37,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -414,7 +415,11 @@ type experimentBody struct {
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	raw, ok := readBody(w, r, "experiment")
+	if !ok {
+		return
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	var exp sweep.Experiment
 	if err := dec.Decode(&exp); err != nil {
@@ -461,17 +466,28 @@ type submitBody struct {
 // maxSubmitBytes bounds one submitted spec or query body.
 const maxSubmitBytes = 8 << 20
 
-// readBody drains the (bounded) request body; the raw bytes are kept
-// verbatim for the journal so a restart resumes exactly what the
-// client submitted.
-func readBody(r *http.Request) ([]byte, error) {
-	return io.ReadAll(io.LimitReader(r.Body, maxSubmitBytes))
+// readBody drains the request body, refusing one over maxSubmitBytes;
+// the raw bytes are kept verbatim for the journal so a restart resumes
+// exactly what the client submitted. On failure it writes the error
+// response — 413 for an oversized body, 400 otherwise — and reports
+// false; what names the body in the message.
+func readBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, "reading %s: %v", what, err)
+		return nil, false
+	}
+	return raw, true
 }
 
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	raw, err := readBody(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading spec: %v", err)
+	raw, ok := readBody(w, r, "spec")
+	if !ok {
 		return
 	}
 	spec, err := sweep.ParseSpec(bytes.NewReader(raw))
@@ -762,9 +778,8 @@ func (s *Server) handleCancel(kind jobKind) http.HandlerFunc {
 // advisor usually finishes well short of it, and entirely from cache
 // when an overlapping query ran before.
 func (s *Server) handleAdviseSubmit(w http.ResponseWriter, r *http.Request) {
-	raw, err := readBody(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading query: %v", err)
+	raw, ok := readBody(w, r, "query")
+	if !ok {
 		return
 	}
 	q, err := opt.ParseQuery(bytes.NewReader(raw))

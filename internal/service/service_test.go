@@ -210,6 +210,45 @@ func TestExperimentEndpointRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestBodyLimit: every request body is bounded at maxSubmitBytes. A
+// body one byte over the limit is refused with 413 — even when its
+// leading bytes are a valid request padded with trailing whitespace —
+// and a normal-sized experiment still runs.
+func TestBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t)
+	pad := func(prefix string) []byte {
+		b := bytes.Repeat([]byte(" "), maxSubmitBytes+1)
+		copy(b, prefix)
+		return b
+	}
+	exp := `{"gpu":"H100","model":"GPT-3 XL","parallelism":"fsdp","batch":8}`
+	for _, tc := range []struct {
+		method, path, prefix string
+	}{
+		{http.MethodPost, "/v1/experiments", exp},
+		{http.MethodPost, "/v1/sweeps", `{"gpus":["H100"],"models":["GPT-3 XL"],"batches":[8]}`},
+		{http.MethodPut, "/v1/cache/" + strings.Repeat("ab", 32), `{}`},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, bytes.NewReader(pad(tc.prefix)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.method, tc.path, err)
+		}
+		body := decode[errorBody](t, resp, http.StatusRequestEntityTooLarge)
+		if !strings.Contains(body.Error, "too large") {
+			t.Errorf("%s %s: error %q does not name the limit", tc.method, tc.path, body.Error)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/experiments", "application/json", strings.NewReader(exp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode[experimentBody](t, resp, http.StatusOK)
+}
+
 // waitForJob polls the job endpoint until the sweep leaves the running
 // state.
 func waitForJob(t *testing.T, ts *httptest.Server, id string) jobBody {

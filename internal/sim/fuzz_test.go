@@ -75,10 +75,9 @@ func buildFuzzDAG(data []byte) *fuzzDAG {
 		d.total += work
 		d.stalled = append(d.stalled, db >= 240)
 		if db < 200 && i > 0 {
-			// Dependency on an earlier task (forward edges only would
-			// always be acyclic, so sometimes depend on a LATER index via
-			// OnDone-free After below, creating potential deadlock with
-			// stream FIFO order).
+			// Dependency on an earlier task. Alone these edges are
+			// acyclic; the backward edges below make cycles with stream
+			// FIFO order possible.
 			t.After(d.tasks[int(db)%i])
 		}
 		if db >= 200 && db < 220 && len(d.tasks) > 1 {

@@ -227,38 +227,6 @@ func TestObserverSegmentsCoverRun(t *testing.T) {
 	}
 }
 
-func TestOnDoneCallbackAndDynamicTask(t *testing.T) {
-	e := NewEngine(unitPlatform())
-	s := e.NewStream("s", 0)
-	var spawned *Task
-	a := e.NewTask("a", KindCompute, 1, nil, s)
-	a.OnDone(func(now float64) {
-		spawned = e.NewTask("spawned", KindCompute, 1, nil, s)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if spawned == nil || !spawned.Done() {
-		t.Fatal("dynamically spawned task did not complete")
-	}
-	if spawned.Start() < a.End() {
-		t.Errorf("spawned started %g before parent end %g", spawned.Start(), a.End())
-	}
-}
-
-func TestAfterCompletedDependencyIgnored(t *testing.T) {
-	e := NewEngine(unitPlatform())
-	s := e.NewStream("s", 0)
-	a := e.NewTask("a", KindCompute, 1, nil, s)
-	a.OnDone(func(now float64) {
-		b := e.NewTask("b", KindCompute, 1, nil, s)
-		b.After(a) // already done; must not block
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestInvalidWorkPanics(t *testing.T) {
 	e := NewEngine(unitPlatform())
 	s := e.NewStream("s", 0)

@@ -17,10 +17,10 @@ import "math"
 // drops from O(ranks) to O(classes).
 //
 // Detection is conservative by construction. Any device the proof cannot
-// cover — multi-stream (rendezvous) tasks, completion callbacks, a
-// dependency whose position cannot be paired — falls back to a singleton
-// class and is simulated for real. A wrong answer is therefore
-// impossible; the worst case is a missed speedup.
+// cover — multi-stream (rendezvous) tasks, a dependency whose position
+// cannot be paired — falls back to a singleton class and is simulated
+// for real. A wrong answer is therefore impossible; the worst case is a
+// missed speedup.
 
 // Class is one device symmetry class: Members lists the device indices
 // in ascending order, and Members[0] is the representative that is
@@ -38,7 +38,7 @@ func (c Class) Rep() int { return c.Members[0] }
 // via eq) and dependency structure all pairwise identical, with every
 // dependency either shared (the same *Task, e.g. a collective) or the
 // positional counterpart on the other device. Devices with rendezvous
-// (multi-stream) tasks or completion callbacks are never merged.
+// (multi-stream) tasks are never merged.
 //
 // DetectClasses must run before the engine has executed; on an engine
 // that already ran (or with a nil eq) it returns nil. The result also
@@ -86,7 +86,7 @@ func (e *Engine) DetectClasses(eq func(a, b any) bool) []Class {
 	for dev, ss := range devStreams {
 		for si, s := range ss {
 			for qi, t := range s.queue {
-				if len(t.streams) > 1 || len(t.onDone) > 0 || t.st != statePending {
+				if len(t.streams) > 1 || t.st != statePending {
 					for _, ts := range t.streams {
 						mergeable[ts.device] = false
 					}

@@ -145,18 +145,6 @@ func TestDetectClassesVetoes(t *testing.T) {
 			}
 		}
 	})
-	t.Run("onDone callback", func(t *testing.T) {
-		e := NewEngine(PlatformFunc(flatRate))
-		s0 := e.NewStream("a", 0)
-		s1 := e.NewStream("b", 1)
-		e.NewTask("x", KindCompute, 1, 0, s0).OnDone(func(now float64) {})
-		e.NewTask("y", KindCompute, 1, 0, s1)
-		for _, c := range e.DetectClasses(intEq) {
-			if len(c.Members) > 1 {
-				t.Fatalf("device with completion callback merged: %v", c.Members)
-			}
-		}
-	})
 	t.Run("nil eq", func(t *testing.T) {
 		e, _ := symDAG(2, 2, nil)
 		if got := e.DetectClasses(nil); got != nil {
@@ -240,89 +228,5 @@ func TestCollapseGhostEdgeTransfer(t *testing.T) {
 	}
 	if e.Now() != ref.Now() {
 		t.Fatalf("terminal time diverged: %g vs %g", e.Now(), ref.Now())
-	}
-}
-
-func TestPoolRunRange(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	if p.Workers() != 4 {
-		t.Fatalf("Workers() = %d, want 4", p.Workers())
-	}
-	const n = 103
-	hits := make([]int, n)
-	p.RunRange(n, func(shard, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			hits[i]++
-		}
-	})
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d covered %d times", i, h)
-		}
-	}
-	// n smaller than workers: still exactly-once.
-	small := make([]int, 2)
-	p.RunRange(2, func(shard, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			small[i]++
-		}
-	})
-	if small[0] != 1 || small[1] != 1 {
-		t.Fatalf("small range coverage = %v", small)
-	}
-}
-
-func TestPoolNil(t *testing.T) {
-	if NewPool(1) != nil {
-		t.Fatal("NewPool(1) should be nil (serial)")
-	}
-	var p *Pool
-	if p.Workers() != 1 {
-		t.Fatalf("nil pool Workers() = %d, want 1", p.Workers())
-	}
-	ran := false
-	p.RunRange(5, func(shard, lo, hi int) {
-		if shard != 0 || lo != 0 || hi != 5 {
-			t.Fatalf("nil pool shard = (%d,%d,%d)", shard, lo, hi)
-		}
-		ran = true
-	})
-	if !ran {
-		t.Fatal("nil pool RunRange did not run")
-	}
-	p.Close() // must not panic
-}
-
-// TestPooledRunBitIdentical runs a wide DAG serially and on a pool and
-// demands bit-identical schedules: the pooled epoch scan must merge its
-// shard results in shard order, reproducing the serial reduction.
-func TestPooledRunBitIdentical(t *testing.T) {
-	build := func() (*Engine, [][]*Task) {
-		// Streams are FIFO, so the running set is one task per rank plus
-		// the shared stream: 300 ranks keeps it above poolMinRunning and
-		// the pooled scan path actually executes.
-		return symDAG(300, 4, func(rank, slot int, w float64) float64 {
-			return w + float64((rank*7+slot)%4)/8
-		})
-	}
-	ref, refTasks := build()
-	if err := ref.Run(); err != nil {
-		t.Fatal(err)
-	}
-	e, tasks := build()
-	e.SetPool(NewPool(4))
-	err := e.Run()
-	e.SetPool(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := range tasks {
-		for i := range tasks[r] {
-			if math.Float64bits(tasks[r][i].End()) != math.Float64bits(refTasks[r][i].End()) {
-				t.Fatalf("task r%d.%d diverged pooled vs serial: %g vs %g",
-					r, i, tasks[r][i].End(), refTasks[r][i].End())
-			}
-		}
 	}
 }
