@@ -319,9 +319,13 @@ func BenchmarkMultiNodeFSDP(b *testing.B) {
 // 8, hierarchical NVLink+NIC fabric beyond one node). ns/op and
 // allocs/op at each rank count are the numbers BENCH.md tracks; a
 // scheduling or allocation regression shows up here before it shows up
-// in a paper grid. The per-GPU batch is fixed at 1 so the task graph —
-// and therefore simulation cost — grows linearly with ranks, while the
-// rank-symmetry fast path keeps the simulated portion at O(classes).
+// in a paper grid. The per-GPU batch is fixed at 1 so the task count
+// grows linearly with ranks; the FSDP builder's edge count does too
+// (its iteration barrier is n edges into one collective, not n² rank
+// to rank), while the rank-symmetry fast path keeps the simulated portion
+// at O(classes). Warmup: 0 selects the default of one warm-up
+// iteration, so each op builds and simulates two iterations, the
+// barrier between them included.
 func BenchmarkEngineScale(b *testing.B) {
 	for _, ranks := range []int{8, 32, 128, 512, 4096} {
 		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {

@@ -1,6 +1,7 @@
 package overlapsim_bench
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -205,5 +206,46 @@ func TestGoldenRunTwiceIdentical(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("two runs of the same config diverged: %s vs %s", a, b)
+	}
+}
+
+// resultPinConfig is a multi-node FSDP shape large enough to cross the
+// NIC tier: 8 nodes × 8 H100, GPT-3 XL, one measured iteration after the
+// default warm-up, so the graph contains an iteration barrier.
+func resultPinConfig() core.Config {
+	return core.Config{
+		System:      hw.NewMultiNode(hw.H100(), 8, 8),
+		Model:       model.GPT3XL(),
+		Parallelism: "fsdp",
+		Batch:       64,
+		Format:      precision.FP16,
+		MatrixUnits: true,
+		Iterations:  1,
+		Warmup:      0,
+	}
+}
+
+// resultPinDigest is the SHA-256 of json.Marshal(core.Result) for
+// resultPinConfig. Unlike the golden digests, which cover only task
+// timelines, it also pins power, Eq. 1–5 metrics and both modes'
+// engine_stats (epochs, rechecks, admissions, arena usage), so a plan
+// builder change that claims byte-identical output must keep it.
+const resultPinDigest = "2379952cd474b65b35c76b5cc644ec5b42ce79ec0ba817637f93be02d0d7d165"
+
+// TestResultBytesPinned checks that a full multi-node characterization
+// encodes to exactly the pinned bytes.
+func TestResultBytesPinned(t *testing.T) {
+	res, err := core.Run(context.Background(), resultPinConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	if got := hex.EncodeToString(sum[:]); got != resultPinDigest {
+		t.Errorf("result bytes changed:\n  got  %s\n  want %s\nengine_stats: overlapped %+v, sequential %+v",
+			got, resultPinDigest, res.Overlapped.Engine, res.Sequential.Engine)
 	}
 }

@@ -215,14 +215,6 @@ func (b *builder) buildIteration(it int) []*sim.Task {
 	embedOp, logitsOp := exec.KernelOp(headFwdEmbedOnly(headFwd)), exec.KernelOp(headFwdLogitsOnly(headFwd))
 	headBwdOp := exec.KernelOp(headBwd)
 
-	iterBarrier := func(t *sim.Task) {
-		for _, p := range b.prevIterEnd {
-			if p != nil {
-				t.After(p)
-			}
-		}
-	}
-
 	var lastRS, rsEmbed *sim.Task
 	var prevStepB []*sim.Task
 	for step := 0; step < accum; step++ {
@@ -234,10 +226,13 @@ func (b *builder) buildIteration(it int) []*sim.Task {
 		embedF := b.newCompute(tag+".fwd.embed", embedOp)
 		after(embedF, agEmbed)
 		if step == 0 {
-			iterBarrier(agEmbed)
-			for _, t := range embedF {
-				iterBarrier(t)
-			}
+			// Iteration barrier: the embed all-gather waits for every
+			// rank's previous optimizer step. Only the collective needs
+			// these n edges — each embedF[d] waits for agEmbed, so it
+			// already follows every opt[d'] transitively, and later
+			// micro-steps chain on prevStepB. A per-rank barrier would
+			// add n² edges without changing a single start time.
+			agEmbed.After(b.prevIterEnd...)
 		} else {
 			for d, t := range embedF {
 				t.After(prevStepB[d])

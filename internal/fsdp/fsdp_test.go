@@ -2,6 +2,7 @@ package fsdp
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"overlapsim/internal/exec"
@@ -174,5 +175,47 @@ func TestPrefetchBoundsOverlapWindows(t *testing.T) {
 	deep := run(3)
 	if deep > shallow*1.05 {
 		t.Errorf("deeper prefetch should not slow the iteration much: %g vs %g", deep, shallow)
+	}
+}
+
+// buildBytesPerTask builds one FSDP plan of GPT-3 XL at the given rank
+// count (H100 nodes of 8, one sample per rank, one measured iteration
+// after the default warm-up) and returns the bytes Build allocated per
+// task it created.
+func buildBytesPerTask(t *testing.T, ranks int, mode exec.Mode) float64 {
+	t.Helper()
+	cl, err := gpu.New(gpu.Config{System: hw.NewMultiNode(hw.H100(), 8, ranks/8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	plan, err := Build(cl, strategy.Params{
+		Model: model.GPT3XL(), Batch: ranks, Format: precision.FP16, MatrixUnits: true,
+		Checkpoint: true, Iterations: 1, Mode: mode,
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(plan.Engine.Tasks()))
+}
+
+// TestBuildCostLinearInRanks guards the builder against edges that grow
+// with ranks² (an all-to-all dependency per rank): the bytes Build
+// allocates per task at 4096 ranks must stay within 1.25× of the figure
+// at 512 ranks. A per-rank iteration barrier puts the ratio above 4×.
+func TestBuildCostLinearInRanks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 4096-rank plan")
+	}
+	for _, mode := range []exec.Mode{exec.Overlapped, exec.Sequential} {
+		small := buildBytesPerTask(t, 512, mode)
+		large := buildBytesPerTask(t, 4096, mode)
+		t.Logf("%v: %.0f B/task at 512 ranks, %.0f B/task at 4096 ranks (%.2f×)", mode, small, large, large/small)
+		if large > 1.25*small {
+			t.Errorf("%v: Build allocates %.0f B/task at 4096 ranks, %.2f× the %.0f B/task at 512 ranks (limit 1.25×)",
+				mode, large, large/small, small)
+		}
 	}
 }

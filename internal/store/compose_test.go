@@ -127,14 +127,17 @@ func TestFlightWaiterCountedOncePerCall(t *testing.T) {
 	f.mu.Unlock()
 	close(c1.done)
 
-	// Let the waiter re-enter and park on c2, then finish the call.
-	runtime.Gosched()
+	// Finish c2 while it is still registered: however late the waiter
+	// re-enters, it finds c2 (parked or already done) and takes its
+	// result instead of leading. The key is removed only after the
+	// waiter has returned, as a leader would.
+	close(c2.done)
+	res := <-done
 	f.mu.Lock()
 	delete(f.calls, key)
 	f.mu.Unlock()
-	close(c2.done)
 
-	if res := <-done; res != want {
+	if res != want {
 		t.Fatalf("waiter got %+v, want the second leader's result", res)
 	}
 	if n := mFlightWaiters.Value() - base; n != 1 {
